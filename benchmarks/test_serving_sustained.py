@@ -48,8 +48,8 @@ import pytest
 
 from repro.data.synthetic import BlockGenerator
 from repro.serve import (
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
     HashRing,
     PredictionRequest,
     PredictionService,
@@ -98,9 +98,7 @@ def test_async_sustains_sync_throughput_within_deadline(block_texts):
     config = ServiceConfig(
         model_name="granite", max_batch_size=64, num_workers=NUM_WORKERS
     )
-    async_config = AsyncServiceConfig(
-        max_batch_size=64, max_latency_ms=DEADLINE_MS, max_queue_blocks=8192
-    )
+    async_config = AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=8192)
     with PredictionService(config).warm_start() as service:
         for request in _requests(block_texts[:20], 0)[: 20 // REQUEST_SIZE]:
             service.submit([request])  # warm code paths, not the caches
@@ -177,9 +175,7 @@ def test_async_sustains_sync_throughput_within_deadline(block_texts):
 def test_latency_bounded_coalescing_on_warm_traffic(block_texts):
     """Warm repeated traffic still coalesces densely and meets the deadline."""
     texts = block_texts[:64]
-    config = AsyncServiceConfig(
-        max_batch_size=64, max_latency_ms=DEADLINE_MS, max_queue_blocks=8192
-    )
+    config = AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=8192)
     with AsyncPredictionService(
         config, service_config=ServiceConfig(model_name="granite", max_batch_size=64)
     ) as front_end:
@@ -228,7 +224,7 @@ def test_hash_sharding_beats_round_robin_cache_affinity(block_texts, rounds):
                         [PredictionRequest.of(shuffled[start : start + 8])]
                     )
             worker_stats = service._pool.worker_stats()
-        rates[mode] = [s["prediction_hit_rate"] for s in worker_stats]
+        rates[mode] = [s.cache.prediction_hit_rate for s in worker_stats]
 
     print()
     print(f"--- per-worker prediction-cache hit rates, {rounds} shuffled rounds ---")
@@ -264,9 +260,7 @@ def test_multi_producer_no_loss_within_deadline():
     config = ServiceConfig(
         model_name="granite", max_batch_size=64, num_workers=NUM_WORKERS
     )
-    async_config = AsyncServiceConfig(
-        max_batch_size=64, max_latency_ms=DEADLINE_MS, max_queue_blocks=8192
-    )
+    async_config = AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=8192)
     with PredictionService(config).warm_start() as service:
         for start in range(0, warmup, REQUEST_SIZE):
             service.submit([PredictionRequest.of(texts[start : start + REQUEST_SIZE])])
@@ -369,8 +363,7 @@ def _run_flush_policy(policy, idle_runs, saturated_runs, warm_texts):
     single-shot wall-clock tails on a busy CI box are scheduler noise, not
     policy behaviour.
     """
-    async_config = AsyncServiceConfig(
-        max_batch_size=64,
+    async_config = AsyncOptions(
         max_latency_ms=DEADLINE_MS,
         flush_policy=policy,
         min_latency_ms=1.0,
@@ -474,7 +467,7 @@ def test_adaptive_flush_beats_static_on_bursty_traffic():
             f"p99={min(p99s) * 1e3:7.2f} ms (runs: "
             f"{['%.1f' % (p * 1e3) for p in p99s]})   "
             f"saturated {rate:8.0f} blocks/s   "
-            f"flush deadline p50={snapshot['flush_deadline_p50_ms']:.2f} ms"
+            f"flush deadline p50={snapshot.flush.deadline_p50_ms:.2f} ms"
         )
 
     # Best-of-N on both sides: a single scheduler stall in one run must not
@@ -508,8 +501,8 @@ def _hit_rates_from(stats_before, stats_after):
     """Per-worker prediction hit rates over the window between snapshots."""
     rates = []
     for before, after in zip(stats_before, stats_after):
-        hits = after["prediction_hits"] - before["prediction_hits"]
-        misses = after["prediction_misses"] - before["prediction_misses"]
+        hits = after.cache.prediction_hits - before.cache.prediction_hits
+        misses = after.cache.prediction_misses - before.cache.prediction_misses
         total = hits + misses
         rates.append(hits / total if total else 0.0)
     return rates
@@ -593,7 +586,7 @@ def test_elastic_scaling_no_loss_and_affinity_recovery():
     # Cache-affinity recovery: back at N workers the ring topology is the
     # original, so the surviving workers answer the same partition from
     # their still-warm caches.
-    warm_rates = [entry["prediction_hit_rate"] for entry in warm_stats]
+    warm_rates = [entry.cache.prediction_hit_rate for entry in warm_stats]
     recovered_rates = _hit_rates_from(resized_stats, recovered_stats)
     print()
     print(f"--- elastic {NUM_WORKERS} -> {NUM_WORKERS + 1} -> {NUM_WORKERS} ---")
@@ -621,9 +614,7 @@ def _goodput_run(texts, abandon):
     from dispatcher start to the last wanted completion.
     """
     service = AsyncPredictionService(
-        AsyncServiceConfig(
-            max_batch_size=32, max_latency_ms=DEADLINE_MS, max_queue_blocks=65536
-        ),
+        AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=65536),
         service_config=ServiceConfig(model_name="granite", max_batch_size=32),
     )
     wanted, abandoned = [], []
@@ -679,10 +670,10 @@ def test_cancellation_increases_goodput():
     print(
         f"cancelling:            {cancelling:8.0f} wanted blocks/s "
         f"({cancelling / baseline:.2f}x), "
-        f"{cancelling_snapshot['cancelled_drops']} drops"
+        f"{cancelling_snapshot.queue.cancelled_drops} drops"
     )
-    assert baseline_snapshot["cancelled_drops"] == 0
-    assert cancelling_snapshot["cancelled_drops"] == num_requests
+    assert baseline_snapshot.queue.cancelled_drops == 0
+    assert cancelling_snapshot.queue.cancelled_drops == num_requests
     # The cancelled half never reaches a worker, so the wanted half should
     # finish in roughly half the time; demand a conservative 1.3x.
     assert cancelling >= 1.3 * baseline, (
@@ -720,9 +711,7 @@ def test_hash_sharding_keeps_hit_rate_edge_under_skewed_producers():
             num_workers=NUM_WORKERS,
             sharding=mode,
         )
-        async_config = AsyncServiceConfig(
-            max_batch_size=16, max_latency_ms=DEADLINE_MS, max_queue_blocks=8192
-        )
+        async_config = AsyncOptions(max_latency_ms=DEADLINE_MS, max_queue_blocks=8192)
         with AsyncPredictionService(async_config, service_config=config) as front_end:
             errors = []
 
@@ -753,7 +742,7 @@ def test_hash_sharding_keeps_hit_rate_edge_under_skewed_producers():
             assert not errors, f"producers failed under {mode}: {errors}"
             worker_stats = front_end.service.worker_stats()
             flushes[mode] = front_end.stats.flushes
-        rates[mode] = [entry["prediction_hit_rate"] for entry in worker_stats]
+        rates[mode] = [entry.cache.prediction_hit_rate for entry in worker_stats]
 
     print()
     print(

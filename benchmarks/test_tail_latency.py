@@ -35,10 +35,10 @@ import time
 import zlib
 
 from repro.serve import (
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
-    PredictionRequest,
     PredictionService,
+    ServiceConfig,
     SloPolicy,
     TraceReplayer,
     synthesize_trace,
@@ -51,6 +51,8 @@ STRAGGLE_PROBABILITY = 0.30  # per block text, via a seeded content hash
 NUM_KEYS = 16
 MEAN_RATE_RPS = 120.0
 WARMUP_REQUESTS = 12
+#: Size-flush bound of the async front end (the service's max_batch_size).
+MAX_BATCH_SIZE = 4
 
 REPORT_PATH = os.path.join(os.path.dirname(__file__), "BENCH_tail_latency.json")
 
@@ -87,7 +89,7 @@ class StragglerService(PredictionService):
     """
 
     def __init__(self, fault_seed: int, straggle_s: float) -> None:
-        super().__init__()
+        super().__init__(ServiceConfig(max_batch_size=MAX_BATCH_SIZE))
         self._fault_seed = fault_seed
         self._straggle_s = straggle_s
         self._seen = set()
@@ -118,9 +120,8 @@ class StragglerService(PredictionService):
         return super().submit(requests)
 
 
-def _leg_config(hedge_enabled: bool) -> AsyncServiceConfig:
-    return AsyncServiceConfig(
-        max_batch_size=4,
+def _leg_config(hedge_enabled: bool) -> AsyncOptions:
+    return AsyncOptions(
         max_latency_ms=2.0,
         max_queue_blocks=8192,
         hedge_enabled=hedge_enabled,

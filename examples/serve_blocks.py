@@ -107,8 +107,8 @@ from repro.models import create_model
 from repro.models.config import TrainingConfig
 from repro.nn.serialization import save_checkpoint
 from repro.serve import (
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
     HttpServerConfig,
     ModelRegistry,
     ModelVariant,
@@ -151,17 +151,13 @@ def demo_synchronous(service: PredictionService, test_blocks, tasks) -> None:
     )
 
 
-def demo_asynchronous(
-    service: PredictionService, test_blocks, max_latency_ms: float, flush_policy: str
-) -> None:
-    """Streams prioritised requests through the queued async front end."""
-    config = AsyncServiceConfig(
-        max_batch_size=32,
-        max_latency_ms=max_latency_ms,
-        flush_policy=flush_policy,
-        max_queue_blocks=1024,
-    )
-    with AsyncPredictionService(config, service=service) as front_end:
+def demo_asynchronous(service: PredictionService, test_blocks) -> None:
+    """Streams prioritised requests through the queued async front end.
+
+    The front end takes its queue/flush knobs from the service config's
+    ``async_options`` and flushes at the service's ``max_batch_size``.
+    """
+    with AsyncPredictionService(service=service) as front_end:
         futures = {}
         # Bulk traffic first, then an interactive request that jumps it.
         for index in range(0, len(test_blocks) - 2, 4):
@@ -186,17 +182,18 @@ def demo_asynchronous(
             f"mean {stats.mean_flush_blocks:.1f} blocks/flush"
         )
         snapshot = front_end.snapshot()
+        flush, queue = snapshot.flush, snapshot.queue
         print(
-            f"  flush wait p50={snapshot['flush_wait_p50_ms']:.2f} ms "
-            f"p99={snapshot['flush_wait_p99_ms']:.2f} ms "
-            f"(policy {snapshot['flush_policy']}, "
-            f"deadline ceiling {max_latency_ms} ms, "
-            f"realized p50 {snapshot['flush_deadline_p50_ms']:.2f} ms)"
+            f"  flush wait p50={flush.wait_p50_ms:.2f} ms "
+            f"p99={flush.wait_p99_ms:.2f} ms "
+            f"(policy {flush.policy}, "
+            f"deadline ceiling {front_end.options.max_latency_ms} ms, "
+            f"realized p50 {flush.deadline_p50_ms:.2f} ms)"
         )
-        if snapshot["cancelled_drops"] or snapshot["expired_drops"]:
+        if queue.cancelled_drops or queue.expired_drops:
             print(
-                f"  drops: {snapshot['cancelled_drops']} cancelled, "
-                f"{snapshot['expired_drops']} expired"
+                f"  drops: {queue.cancelled_drops} cancelled, "
+                f"{queue.expired_drops} expired"
             )
 
 
@@ -360,6 +357,11 @@ def main() -> None:
             min_workers=arguments.min_workers,
             max_workers=arguments.max_workers,
             inference_dtype=arguments.dtype,
+            async_options=AsyncOptions(
+                max_latency_ms=arguments.max_latency_ms,
+                flush_policy=flush_policy,
+                max_queue_blocks=1024,
+            ),
         )
         elastic = (
             f"elastic {config.min_workers}..{config.max_workers}, "
@@ -377,9 +379,7 @@ def main() -> None:
             print("synchronous front end:")
             demo_synchronous(service, test_blocks, model.tasks)
             print("async front end:")
-            demo_asynchronous(
-                service, test_blocks, arguments.max_latency_ms, flush_policy
-            )
+            demo_asynchronous(service, test_blocks)
         if arguments.http is not None:
             print("http front end:")
             demo_http(checkpoint, test_blocks, arguments)

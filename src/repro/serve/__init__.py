@@ -27,8 +27,8 @@ All of it builds on the no-grad inference fast path in
 
 Configuration is layered the same way: :class:`ServiceConfig` describes
 one served model variant end to end, carrying the queueing/flushing knobs
-as a nested :class:`AsyncOptions`.  (The historical
-:class:`AsyncServiceConfig` spelling still works and converts.)
+as a nested :class:`AsyncOptions`; the size-flush bound of the async
+front end is the service's own ``max_batch_size``.
 
 Error taxonomy
 --------------
@@ -61,17 +61,18 @@ the in-process one:
   sections ``queue`` (:class:`QueueStats`: depth, capacity, back-pressure
   policy, admission/drop counters), ``flush`` (:class:`FlushStats`:
   flush-trigger counters plus realized wait/deadline percentiles),
-  ``model`` (the :class:`ModelStats` above), the flush controller's raw
-  ``controller`` state dict, and ``autoscale_errors``;
+  ``model`` (the :class:`ModelStats` above), ``hedge``
+  (:class:`HedgeStats`), ``resilience`` (:class:`ResilienceStats`), the
+  flush controller's raw ``controller`` state dict, and
+  ``autoscale_errors``;
 * ``GET /v1/models/{model}/stats`` -> a serialized
   :class:`~repro.serve.registry.ModelReport`: ``info`` (a
   :class:`~repro.serve.registry.ModelInfo` with the per-tenant request
   counters), ``snapshot`` (:class:`ServiceSnapshot`, ``null`` while the
   variant is cold) and ``workers`` (list of :class:`WorkerStats`).
 
-Every stats dataclass also supports the historical flat-dict reads
-(``snapshot["flush_wait_p99_ms"]``); new code should prefer attribute
-access (``snapshot.flush.wait_p99_ms``).  Latency percentiles are NaN —
+Stats are read by attribute (``snapshot.flush.wait_p99_ms``);
+``to_dict()`` is the only dict view.  Latency percentiles are NaN —
 never 0.0 — while their sample window is empty, and serialize to JSON
 ``null``.
 
@@ -120,12 +121,10 @@ from repro.serve.batching import (
     coalesce_requests,
     coalesce_requests_by_ring,
     coalesce_requests_by_router,
-    coalesce_requests_by_shard,
     shard_key,
 )
 from repro.serve.config import (
     AsyncOptions,
-    AsyncServiceConfig,
     ServiceConfig,
 )
 from repro.serve.faults import (
@@ -222,7 +221,6 @@ __all__ = [
     "coalesce_requests",
     "coalesce_requests_by_ring",
     "coalesce_requests_by_router",
-    "coalesce_requests_by_shard",
     "shard_key",
     # Services and configuration.
     "PredictionService",
@@ -230,7 +228,6 @@ __all__ = [
     "ServiceStats",
     "AsyncPredictionService",
     "AsyncOptions",
-    "AsyncServiceConfig",
     "AsyncServiceStats",
     # Flush and hedge policies.
     "FLUSH_POLICIES",

@@ -27,7 +27,7 @@ else is coming) and ``max_latency_ms`` (busy — let batches pack densely).
 Requests can leave the queue without being served: clients may ``cancel()``
 their future while it is queued (the entry is discarded eagerly, before it
 can occupy a micro-batch) and requests submitted with a ``deadline_ms``
-budget resolve with :class:`~repro.serve.queue.RequestExpiredError` when
+budget resolve with :class:`~repro.serve.types.RequestExpiredError` when
 the budget runs out.  Both drop classes are counted and reported by
 :meth:`AsyncPredictionService.snapshot`, alongside the controller state,
 queue depth and realized flush-wait percentiles.
@@ -54,22 +54,16 @@ from typing import Deque, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.isa.basic_block import BasicBlock
-from repro.serve.config import AsyncOptions, AsyncServiceConfig
+from repro.serve.config import AsyncOptions, ServiceConfig
 from repro.serve.faults import FaultInjector
 from repro.serve.flush import (
     FlushController,
     HedgeController,
     create_flush_controller,
 )
-from repro.serve.queue import (
-    Priority,
-    QueuedRequest,
-    QueueFullError,
-    RequestExpiredError,
-    RequestQueue,
-)
+from repro.serve.queue import Priority, QueuedRequest, RequestQueue
 from repro.serve.resilience import StalePredictionCache, run_with_retries
-from repro.serve.service import PredictionService, ServiceConfig
+from repro.serve.service import PredictionService
 from repro.serve.stats import (
     FlushStats,
     HedgeStats,
@@ -81,13 +75,12 @@ from repro.serve.stats import (
 from repro.serve.types import (
     PredictionRequest,
     PredictionResponse,
+    QueueFullError,
+    RequestExpiredError,
     ServiceClosedError,
 )
 
-# AsyncServiceConfig moved to repro.serve.config (deprecated in favour of
-# ServiceConfig.async_options / AsyncOptions); re-exported here so the
-# historical import path keeps working.
-__all__ = ["AsyncServiceConfig", "AsyncServiceStats", "AsyncPredictionService"]
+__all__ = ["AsyncServiceStats", "AsyncPredictionService"]
 
 
 @dataclass
@@ -234,10 +227,9 @@ class AsyncPredictionService:
     """Queued prediction front end with latency-bounded micro-batching.
 
     Args:
-        config: Flush/queue knobs: an :class:`~repro.serve.AsyncOptions`
-            (preferred), a legacy ``AsyncServiceConfig``, or ``None`` to
-            inherit the service config's ``async_options`` (and its
-            ``max_batch_size`` as the size-flush bound).
+        options: Flush/queue knobs; ``None`` inherits the service config's
+            ``async_options``.  The size-flush bound is always the service
+            config's ``max_batch_size``.
         service: The synchronous service to flush into.  When ``None``, one
             is built from ``service_config`` (or its defaults) and owned —
             i.e. closed — by this front end; a caller-provided service is
@@ -248,7 +240,7 @@ class AsyncPredictionService:
 
     def __init__(
         self,
-        config: Union[AsyncServiceConfig, AsyncOptions, None] = None,
+        options: Optional[AsyncOptions] = None,
         service: Optional[PredictionService] = None,
         service_config: Optional[ServiceConfig] = None,
     ) -> None:
@@ -256,20 +248,10 @@ class AsyncPredictionService:
             raise ValueError("pass either a service or a service_config, not both")
         self._owns_service = service is None
         self.service = service or PredictionService(service_config)
-        if config is None:
+        if options is None:
             options = self.service.config.async_options
-            max_batch_size = self.service.config.max_batch_size
-        elif isinstance(config, AsyncOptions):
-            options = config
-            max_batch_size = self.service.config.max_batch_size
-        else:
-            options = config.options
-            max_batch_size = config.max_batch_size
-        #: The async layer's own knobs (the preferred spelling).
+        #: The async layer's own knobs.
         self.options = options
-        #: Normalized legacy view (``options`` + the size-flush bound);
-        #: kept so existing ``front_end.config.max_batch_size`` reads work.
-        self.config = AsyncServiceConfig.from_options(options, max_batch_size)
         self.queue = RequestQueue(
             max_blocks=options.max_queue_blocks,
             policy=options.backpressure,
@@ -278,7 +260,7 @@ class AsyncPredictionService:
             options.flush_policy,
             options.max_latency_ms / 1e3,
             options.min_latency_ms / 1e3,
-            max_batch_size,
+            self.service.config.max_batch_size,
             options.controller_window_ms / 1e3,
         )
         self.stats = AsyncServiceStats()
@@ -447,7 +429,7 @@ class AsyncPredictionService:
                 admission.  A request still queued when it runs out is
                 dropped — before it can occupy a micro-batch — and its
                 future resolves with
-                :class:`~repro.serve.queue.RequestExpiredError`.
+                :class:`~repro.serve.types.RequestExpiredError`.
 
         The returned future supports ``cancel()`` while the request is
         queued: a cancelled entry is discarded eagerly (its blocks free up
@@ -659,8 +641,8 @@ class AsyncPredictionService:
         (counters, realized wait/deadline percentiles, the controller's
         current deadline), the underlying service's
         :class:`~repro.serve.stats.ModelStats`, and the flush controller's
-        raw state dict.  Historical flat keys
-        (``snapshot["flush_wait_p99_ms"]`` etc.) still resolve.
+        raw state dict.  Sections are read by attribute
+        (``snapshot.flush.wait_p99_ms``); ``to_dict()`` is the JSON view.
         """
         # Controller and queue take their own locks; read them before
         # entering the stats critical section to keep it a leaf lock.
@@ -760,7 +742,7 @@ class AsyncPredictionService:
         self._drain_queue(self.controller.deadline_s)
 
     def _autoscale_loop(self) -> None:
-        interval = self.config.autoscale_poll_ms / 1e3
+        interval = self.options.autoscale_poll_ms / 1e3
         # The wait budget the realized-latency signals are judged against:
         # twice the flush-deadline ceiling.  Waits below it are the
         # batching policy working as configured; sustained p99 beyond it
@@ -821,7 +803,7 @@ class AsyncPredictionService:
         try:
             while True:
                 entries, reason = self.queue.take_batch(
-                    self.config.max_batch_size, max_wait_s
+                    self.service.config.max_batch_size, max_wait_s
                 )
                 if not entries:
                     return  # closed and fully drained

@@ -19,18 +19,13 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-# The envelope types moved to repro.serve.types (shared with the network
-# front end); re-exported here so historical import paths keep working.
-from repro.serve.types import PredictionRequest, PredictionResponse
+from repro.serve.types import PredictionRequest
 
 __all__ = [
-    "PredictionRequest",
-    "PredictionResponse",
     "MicroBatch",
     "coalesce_requests",
     "coalesce_requests_by_ring",
     "coalesce_requests_by_router",
-    "coalesce_requests_by_shard",
     "shard_key",
 ]
 
@@ -109,7 +104,7 @@ def _coalesce_by_owner(
 ) -> List[Tuple[int, MicroBatch]]:
     """Groups every block by ``owner_of(text)``, then chunks per owner.
 
-    The shared core of the sharded coalescing strategies: blocks keep
+    The shared core of the ring and router coalescing strategies: blocks keep
     their submission order within each owner, and each owner's run is
     split into micro-batches of at most ``max_batch_size``.  Owners with
     no blocks contribute no pairs; pairs come out in ascending owner
@@ -141,37 +136,6 @@ def _coalesce_by_owner(
     return assignments
 
 
-def coalesce_requests_by_shard(
-    requests: Sequence[PredictionRequest],
-    max_batch_size: int,
-    num_shards: int,
-) -> List[Tuple[int, MicroBatch]]:
-    """Merges requests into per-shard size-bounded micro-batches.
-
-    Every block is routed to shard ``shard_key(text) % num_shards``, so a
-    given block text always lands on the same shard no matter which request
-    carries it or how traffic is sliced.  This is the fixed-pool routing
-    (kept for comparison; the elastic pool routes with
-    :func:`coalesce_requests_by_ring` instead): cache affinity is perfect
-    while ``num_shards`` never changes, but changing it remaps almost every
-    key.
-
-    Args:
-        requests: The requests of one submission.
-        max_batch_size: Upper bound on the blocks per micro-batch.
-        num_shards: Number of shards (worker replicas).
-
-    Returns:
-        ``(shard_index, micro_batch)`` pairs covering every block exactly
-        once; shards with no blocks contribute no pairs.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be positive")
-    return _coalesce_by_owner(
-        requests, max_batch_size, lambda text: shard_key(text) % num_shards
-    )
-
-
 def coalesce_requests_by_ring(
     requests: Sequence[PredictionRequest],
     max_batch_size: int,
@@ -179,13 +143,12 @@ def coalesce_requests_by_ring(
 ) -> List[Tuple[int, MicroBatch]]:
     """Merges requests into per-worker micro-batches routed by a hash ring.
 
-    The elastic variant of :func:`coalesce_requests_by_shard`: every block
-    is routed to ``ring.owner(shard_key(text))`` — a
-    :class:`repro.serve.ring.HashRing` over the pool's live worker ids —
-    instead of a fixed ``% num_shards``.  Routing still depends only on the
-    block text and the ring topology, so cache affinity is preserved while
-    the worker count stays put, and only ~1/N of the key space moves when
-    it changes.
+    Every block is routed to ``ring.owner(shard_key(text))`` — a
+    :class:`repro.serve.ring.HashRing` over the pool's live worker ids.
+    Routing depends only on the block text and the ring topology, so a
+    given block lands on the same worker no matter which request carries
+    it, cache affinity is preserved while the worker count stays put, and
+    only ~1/N of the key space moves when it changes.
 
     Args:
         requests: The requests of one submission.

@@ -6,14 +6,7 @@ checkpoint), the synchronous batching/sharding front end, and, nested as
 :attr:`ServiceConfig.async_options`, the queueing/flushing knobs of the
 async front end.  :class:`AsyncOptions` holds only what is *specific* to
 the async layer; the batch-size bound it flushes at is the service's own
-``max_batch_size``, so the historical duplication between the two config
-classes is gone.
-
-:class:`AsyncServiceConfig` remains as a **deprecated but fully working
-alias**: every old field keeps its old name, default and validation, and
-``AsyncPredictionService`` still accepts it.  New code should pass an
-:class:`AsyncOptions` (or nothing, inheriting the service config's
-options) instead.
+``max_batch_size``, the one batch-size knob of the whole stack.
 """
 
 from __future__ import annotations
@@ -30,7 +23,6 @@ from repro.serve.resilience import BreakerPolicy, RespawnPolicy, RetryPolicy
 
 __all__ = [
     "AsyncOptions",
-    "AsyncServiceConfig",
     "ServiceConfig",
     "SHARDING_MODES",
 ]
@@ -301,83 +293,3 @@ class ServiceConfig:
             raise ValueError("respawn_policy must be a RespawnPolicy")
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
             raise ValueError("fault_plan must be a FaultPlan (or None)")
-
-
-@dataclass(frozen=True)
-class AsyncServiceConfig:
-    """Deprecated flat spelling of ``max_batch_size`` + :class:`AsyncOptions`.
-
-    .. deprecated::
-        Use ``ServiceConfig(max_batch_size=..., async_options=
-        AsyncOptions(...))`` — or pass an :class:`AsyncOptions` directly to
-        ``AsyncPredictionService`` — instead.  Every old field keeps its
-        old name, default and validation, so existing constructor calls
-        build an equivalent service; this class is kept only so they keep
-        working.
-    """
-
-    max_batch_size: int = 64
-    max_latency_ms: float = 10.0
-    flush_policy: str = field(default_factory=default_flush_policy)
-    min_latency_ms: float = 1.0
-    controller_window_ms: float = 250.0
-    autoscale_poll_ms: float = 50.0
-    max_queue_blocks: int = 4096
-    backpressure: str = "block"
-    max_concurrent_flushes: int = 1
-    hedge_enabled: bool = False
-    hedge_quantile: float = 0.99
-    hedge_min_ms: float = 1.0
-    hedge_max_ms: Optional[float] = None
-    hedge_min_samples: int = 32
-    hedge_poll_ms: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be positive")
-        # Everything else is the AsyncOptions contract; build one so the
-        # validation lives in exactly one place.
-        _ = self.options
-
-    @property
-    def options(self) -> AsyncOptions:
-        """The :class:`AsyncOptions` equivalent of this config."""
-        return AsyncOptions(
-            max_latency_ms=self.max_latency_ms,
-            flush_policy=self.flush_policy,
-            min_latency_ms=self.min_latency_ms,
-            controller_window_ms=self.controller_window_ms,
-            autoscale_poll_ms=self.autoscale_poll_ms,
-            max_queue_blocks=self.max_queue_blocks,
-            backpressure=self.backpressure,
-            max_concurrent_flushes=self.max_concurrent_flushes,
-            hedge_enabled=self.hedge_enabled,
-            hedge_quantile=self.hedge_quantile,
-            hedge_min_ms=self.hedge_min_ms,
-            hedge_max_ms=self.hedge_max_ms,
-            hedge_min_samples=self.hedge_min_samples,
-            hedge_poll_ms=self.hedge_poll_ms,
-        )
-
-    @classmethod
-    def from_options(
-        cls, options: AsyncOptions, max_batch_size: int = 64
-    ) -> "AsyncServiceConfig":
-        """Builds the flat spelling from ``options`` + a batch-size bound."""
-        return cls(
-            max_batch_size=max_batch_size,
-            max_latency_ms=options.max_latency_ms,
-            flush_policy=options.flush_policy,
-            min_latency_ms=options.min_latency_ms,
-            controller_window_ms=options.controller_window_ms,
-            autoscale_poll_ms=options.autoscale_poll_ms,
-            max_queue_blocks=options.max_queue_blocks,
-            backpressure=options.backpressure,
-            max_concurrent_flushes=options.max_concurrent_flushes,
-            hedge_enabled=options.hedge_enabled,
-            hedge_quantile=options.hedge_quantile,
-            hedge_min_ms=options.hedge_min_ms,
-            hedge_max_ms=options.hedge_max_ms,
-            hedge_min_samples=options.hedge_min_samples,
-            hedge_poll_ms=options.hedge_poll_ms,
-        )

@@ -19,7 +19,7 @@ estimate in ``[0, 1]`` (1.0 = a batch is expected to fill within
 ``min_latency_ms`` (idle) and ``max_latency_ms`` (saturated).
 :class:`StaticFlushController` keeps the pre-adaptive behaviour — always
 ``max_latency_ms`` — selectable and benchmarkable via
-``AsyncServiceConfig(flush_policy="static")``.
+``AsyncOptions(flush_policy="static")``.
 
 Controllers are thread-safe: producers record arrivals from many client
 threads while the dispatcher reads the deadline.
@@ -43,7 +43,7 @@ __all__ = [
     "default_flush_policy",
 ]
 
-#: Flush-deadline policies accepted by ``AsyncServiceConfig``.
+#: Flush-deadline policies accepted by ``AsyncOptions``.
 FLUSH_POLICIES = ("static", "adaptive")
 
 
@@ -54,7 +54,7 @@ def default_flush_policy() -> str:
     otherwise — the same env-default pattern as
     :func:`repro.models.config.default_inference_dtype`, so a CI leg (or
     an operator) can flip the whole serving stack to adaptive flushing
-    without touching any call site.  Validated by ``AsyncServiceConfig``
+    without touching any call site.  Validated by ``AsyncOptions``
     against :data:`FLUSH_POLICIES`.
     """
     return os.environ.get("REPRO_FLUSH_POLICY", "static")
@@ -68,7 +68,7 @@ class FlushController:
     by every producer thread on submit.
     """
 
-    #: Policy name, matching the ``AsyncServiceConfig.flush_policy`` value.
+    #: Policy name, matching the ``AsyncOptions.flush_policy`` value.
     policy: str = "static"
 
     def observe_arrival(self, num_blocks: int, now: Optional[float] = None) -> None:

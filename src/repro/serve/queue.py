@@ -62,9 +62,7 @@ from repro.serve.types import (
 __all__ = [
     "BACKPRESSURE_POLICIES",
     "Priority",
-    "QueueFullError",
     "QueuedRequest",
-    "RequestExpiredError",
     "RequestQueue",
 ]
 

@@ -468,12 +468,14 @@ class SloPolicy:
 class ReplayReport:
     """What one replay run measured.
 
-    All latency figures are per-request submit -> completion wall times in
-    milliseconds; percentiles are NaN when no request completed.  Jitter
-    is the standard deviation of the completed latencies.  Scheduling lag
-    is how late the replayer itself fired each submission relative to the
-    trace timeline — a sanity signal that the measured tail belongs to
-    the service, not to the load generator.
+    All latency figures are per-request due time -> completion wall times
+    in milliseconds (the due time is the request's scaled trace offset, so
+    a submission delayed behind a slow earlier one still counts its wait);
+    percentiles are NaN when no request completed.  Jitter is the standard
+    deviation of the completed latencies.  Scheduling lag is how late the
+    replayer itself fired each submission relative to the trace timeline —
+    a sanity signal that the measured tail belongs to the service, not to
+    the load generator.
     """
 
     num_requests: int
@@ -559,14 +561,16 @@ class TraceReplayer:
 
     The replayer sleeps to each request's (optionally time-scaled) arrival
     offset, submits it, and captures the completion time from the future's
-    done callback — so latency is measured at the moment the response
-    materialized, not whenever a collection loop got around to it.
+    done callback — so latency is measured from the request's due time to
+    the moment the response materialized, not whenever a collection loop
+    got around to it.
 
     Args:
         service: An :class:`~repro.serve.async_service.AsyncPredictionService`
             (or anything with its ``submit(request, priority=...,
-            deadline_ms=...)`` -> future signature; ``snapshot()`` is used
-            for hedge counters when present).
+            deadline_ms=...)`` -> future signature; when it has
+            ``snapshot()``, the result's ``hedge`` section supplies the
+            hedge counters, otherwise they read 0).
         speedup: Timeline compression (see :meth:`Trace.scaled`); applied
             at replay time, the trace itself is not modified.
         slo: Optional policy checked into the report's ``slo`` field.
@@ -597,11 +601,8 @@ class TraceReplayer:
         )
         if snapshot is None:
             return 0, 0
-        view = snapshot()
-        try:
-            return int(view["hedges_issued"]), int(view["hedges_won"])
-        except (KeyError, TypeError):
-            return 0, 0
+        hedge = snapshot().hedge
+        return hedge.issued, hedge.won
 
     def run(self, trace: Trace) -> ReplayReport:
         """Replays ``trace`` once and reports the realized latencies."""
@@ -615,17 +616,20 @@ class TraceReplayer:
                 completions.append((index, done_at))
 
         start = time.monotonic()
-        submitted_at: Dict[int, float] = {}
+        # Latency runs from each request's due time, not from when submit
+        # was reached: time spent behind a slow earlier submit (or a late
+        # wake-up) is part of what the client would have waited.
+        due_at: Dict[int, float] = {}
         futures: Dict[int, Any] = {}
         lags: List[float] = []
         rejected = 0
         for index, request in enumerate(trace.requests):
             target = start + request.offset_s / self.speedup
+            due_at[index] = target
             delay = target - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            now = time.monotonic()
-            lags.append(max(0.0, now - target))
+            lags.append(max(0.0, time.monotonic() - target))
             try:
                 future = self.service.submit(
                     PredictionRequest.of(list(request.block_texts)),
@@ -635,7 +639,6 @@ class TraceReplayer:
             except ServeError:
                 rejected += 1
                 continue
-            submitted_at[index] = now
             futures[index] = future
             # functools.partial-free closure: bind index explicitly.
             future.add_done_callback(
@@ -654,7 +657,7 @@ class TraceReplayer:
             done_at_by_index = dict(completions)
         latencies_ms = tuple(
             sorted(
-                (done_at_by_index[index] - submitted_at[index]) * 1e3
+                (done_at_by_index[index] - due_at[index]) * 1e3
                 for index, future in futures.items()
                 if index in done_at_by_index
                 and not future.cancelled()

@@ -42,7 +42,7 @@ from repro.serve.batching import (
     coalesce_requests_by_ring,
     coalesce_requests_by_router,
 )
-from repro.serve.config import SHARDING_MODES, ServiceConfig
+from repro.serve.config import ServiceConfig
 from repro.serve.resilience import BreakerRing, CircuitBreaker
 from repro.serve.ring import HotKeyRouter
 from repro.serve.stats import CacheStats, ModelStats, WorkerStats
@@ -60,9 +60,7 @@ from repro.serve.workers import (
 )
 from repro.utils.cache import LRUCache
 
-# ServiceConfig moved to repro.serve.config; re-exported here so the
-# historical ``from repro.serve.service import ServiceConfig`` keeps working.
-__all__ = ["ServiceConfig", "ServiceStats", "PredictionService", "SHARDING_MODES"]
+__all__ = ["ServiceStats", "PredictionService"]
 
 
 @dataclass
@@ -307,7 +305,11 @@ class PredictionService:
         return self._hot_router
 
     def worker_stats(self) -> List[WorkerStats]:
-        """Typed per-worker cache/ring stats (empty for in-process services)."""
+        """Typed per-worker cache/ring stats (empty for in-process services).
+
+        One :class:`~repro.serve.stats.WorkerStats` per pool worker, read
+        by attribute (``worker_stats()[0].cache.prediction_hit_rate``).
+        """
         if self.config.num_workers < 1 or self._pool is None:
             return []
         return self._pool.worker_stats()

@@ -12,20 +12,16 @@ dataclasses below instead of ad-hoc dicts:
   the JSON schema *is* the dataclass schema (:meth:`StatsStruct.to_dict`),
   so the wire format can never drift from the in-process one.
 
-Backwards compatibility: the historical ``snapshot()`` /
-``worker_stats()`` consumers indexed flat dicts
-(``snapshot["flush_wait_p99_ms"]``, ``stats["prediction_hit_rate"]``).
-Every stats dataclass therefore supports read-only mapping access:
-``struct[key]`` resolves the key against the declared flat aliases, the
-dataclass's own fields, and finally any nested section that knows the key.
-New code should use attribute access (``snapshot.flush.wait_p99_ms``).
+Values are read by attribute (``snapshot.flush.wait_p99_ms``,
+``worker_stats()[0].cache.prediction_hit_rate``); ``to_dict()`` is the
+only dict view.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -75,19 +71,12 @@ def _plain(value: Any) -> Any:
 
 
 class StatsStruct:
-    """Mixin giving a stats dataclass dict-style reads and serialization.
+    """Mixin giving a stats dataclass its schema-driven serialization.
 
     ``to_dict()`` recursively converts the dataclass (nested sections
-    included) into plain JSON-ready dicts — the schema-driven
-    serialization used by the HTTP front end.  ``struct[key]`` provides
-    the historical flat-dict spelling: a key resolves, in order, against
-    :attr:`_FLAT_ALIASES` (dotted paths into nested sections), the
-    dataclass's own fields, and the nested sections themselves.
+    included) into plain JSON-ready dicts — the serialization used by the
+    HTTP front end.
     """
-
-    #: ``flat key -> dotted attribute path`` mapping for historical names
-    #: whose value lives in a nested section (or under a different name).
-    _FLAT_ALIASES: ClassVar[Mapping[str, str]] = {}
 
     def to_dict(self) -> Dict[str, Any]:
         """Recursive plain-dict view, field order preserved."""
@@ -95,38 +84,6 @@ class StatsStruct:
         for spec in dataclasses.fields(self):
             out[spec.name] = _plain(getattr(self, spec.name))
         return out
-
-    def __getitem__(self, key: str) -> Any:
-        path = self._FLAT_ALIASES.get(key)
-        if path is not None:
-            value: Any = self
-            for part in path.split("."):
-                value = getattr(value, part)
-            return value
-        field_names = {spec.name for spec in dataclasses.fields(self)}
-        if key in field_names:
-            return getattr(self, key)
-        for name in field_names:
-            section = getattr(self, name)
-            if isinstance(section, StatsStruct):
-                try:
-                    return section[key]
-                except KeyError:
-                    continue
-        raise KeyError(key)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __contains__(self, key: object) -> bool:
-        try:
-            self[key]  # type: ignore[index]
-        except (KeyError, TypeError):
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -315,9 +272,7 @@ class ServiceSnapshot(StatsStruct):
     :attr:`model` (the underlying sync service), :attr:`hedge` (the hedged
     duplicate machinery), plus the flush controller's own
     :attr:`controller` state dict and the autoscale monitor's error
-    counter.  The historical flat keys
-    (``snapshot["flush_wait_p99_ms"]`` etc.) resolve through
-    :attr:`_FLAT_ALIASES`.
+    counter.
     """
 
     queue: QueueStats
@@ -327,40 +282,6 @@ class ServiceSnapshot(StatsStruct):
     controller: Dict[str, Any]
     autoscale_errors: int
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
-
-    _FLAT_ALIASES: ClassVar[Mapping[str, str]] = {
-        "flush_policy": "flush.policy",
-        "current_deadline_ms": "flush.current_deadline_ms",
-        "queue_depth_blocks": "queue.depth_blocks",
-        "queue_depth_requests": "queue.depth_requests",
-        "requests": "queue.submitted_requests",
-        "blocks": "queue.submitted_blocks",
-        "flushes": "flush.flushes",
-        "size_flushes": "flush.size_flushes",
-        "deadline_flushes": "flush.deadline_flushes",
-        "close_flushes": "flush.close_flushes",
-        "flushed_blocks": "flush.flushed_blocks",
-        "mean_flush_blocks": "flush.mean_flush_blocks",
-        "flush_wait_p50_ms": "flush.wait_p50_ms",
-        "flush_wait_p99_ms": "flush.wait_p99_ms",
-        "flush_deadline_p50_ms": "flush.deadline_p50_ms",
-        "flush_deadline_p99_ms": "flush.deadline_p99_ms",
-        "request_latency_p50_ms": "flush.request_p50_ms",
-        "request_latency_p99_ms": "flush.request_p99_ms",
-        "request_latency_p999_ms": "flush.request_p999_ms",
-        "hedges_issued": "hedge.issued",
-        "hedges_won": "hedge.won",
-        "cancelled_drops": "queue.cancelled_drops",
-        "expired_drops": "queue.expired_drops",
-        "rejected": "queue.rejected",
-        "num_workers": "model.num_workers",
-        "retries": "resilience.retries",
-        "retries_exhausted": "resilience.retries_exhausted",
-        "degraded_responses": "resilience.degraded_responses",
-        "breaker_trips": "model.breaker_trips",
-        "breaker_recoveries": "model.breaker_recoveries",
-        "breaker_open_workers": "model.breaker_open_workers",
-    }
 
 
 def worker_stats_from_raw(

@@ -10,7 +10,7 @@ workers:
 * each worker is a dedicated process with its own duplex pipe, so the
   parent can route a micro-batch to a specific worker — which is what makes
   stable block-text-hash sharding (see
-  :func:`repro.serve.batching.coalesce_requests_by_shard`) possible;
+  :func:`repro.serve.batching.coalesce_requests_by_ring`) possible;
 * each worker owns a warm model replica plus parse cache, and can report
   its cache counters (the per-worker shard-affinity stats used by the
   serving benchmarks);
@@ -464,8 +464,8 @@ class ShardedWorkerPool:
         its ``inference_dtype``, its ``job_errors`` count (jobs that raised
         since the replica spawned), its stable ``worker_id``, the fraction
         of the hash ring it owns (``ring_share``) and its ``spawn_count``
-        (1 = never respawned).  Entries support the historical flat
-        dict-style reads (``entry["prediction_hit_rate"]``).
+        (1 = never respawned).  Read entries by attribute
+        (``entry.cache.prediction_hit_rate``).
 
         Everything — the stats round-trips, the ring shares and the
         worker pairing — happens under the jobs lock, so a concurrent

@@ -215,7 +215,7 @@ class TestShardedService:
         with PredictionService(config) as sharded:
             served = sharded.predict_blocks(blocks)
             worker_stats = sharded._pool.worker_stats()
-        assert [stats["inference_dtype"] for stats in worker_stats] == ["float32"] * 2
+        assert [stats.inference_dtype for stats in worker_stats] == ["float32"] * 2
         for task in in_process.model.tasks:
             # Same float32 math in every replica; only BLAS-kernel rounding
             # across the different batch shapes may differ.

@@ -1,5 +1,5 @@
 """Tests of the unified serve API: layered configs, reason-coded errors,
-typed stats, import-path shims, tenancy and the model registry."""
+typed stats, tenancy and the model registry."""
 
 import dataclasses
 
@@ -9,7 +9,6 @@ from repro.serve import (
     ANONYMOUS,
     AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
     AuthenticationError,
     AuthorizationError,
     CacheStats,
@@ -60,59 +59,36 @@ class TestLayeredConfig:
             AsyncOptions(flush_policy="adaptive", min_latency_ms=20.0,
                          max_latency_ms=10.0)
 
-    def test_deprecated_spelling_converts(self):
-        old = AsyncServiceConfig(
-            max_batch_size=8,
-            max_latency_ms=7.5,
-            flush_policy="static",
-            max_queue_blocks=64,
-            backpressure="reject",
+    def test_options_and_service_config_build_equivalent_services(self):
+        options = AsyncOptions(
+            max_latency_ms=7.5, max_queue_blocks=64, backpressure="reject"
         )
-        options = old.options
-        assert options == AsyncOptions(
-            max_latency_ms=7.5,
-            flush_policy="static",
-            max_queue_blocks=64,
-            backpressure="reject",
+        # Explicit options around an externally configured service ...
+        wrapped = AsyncPredictionService(
+            options, service=PredictionService(ServiceConfig(max_batch_size=8))
         )
-        assert AsyncServiceConfig.from_options(options, max_batch_size=8) == old
-
-    def test_deprecated_spelling_still_validates(self):
+        # ... and one ServiceConfig that carries the same options.
+        owned = AsyncPredictionService(
+            service_config=ServiceConfig(max_batch_size=8, async_options=options)
+        )
+        assert wrapped.options == owned.options == options
+        assert wrapped.service.config.max_batch_size == 8
+        assert owned.service.config.max_batch_size == 8
+        assert wrapped.queue.max_blocks == owned.queue.max_blocks == 64
+        assert wrapped.queue.policy == owned.queue.policy == "reject"
         with pytest.raises(ValueError):
-            AsyncServiceConfig(max_batch_size=0)
-        with pytest.raises(ValueError):
-            AsyncServiceConfig(flush_policy="nope")
-
-    def test_old_and_new_spellings_build_equivalent_services(self):
-        # Old: async knobs (batch size included) on AsyncServiceConfig,
-        # wrapped around an externally configured service.
-        old_front = AsyncPredictionService(
-            AsyncServiceConfig(
-                max_batch_size=8, max_latency_ms=7.5, max_queue_blocks=64,
-                backpressure="reject",
-            ),
-            service=PredictionService(ServiceConfig(max_batch_size=8)),
-        )
-        # New: one ServiceConfig carries everything; the front end infers.
-        new_front = AsyncPredictionService(
-            service_config=ServiceConfig(
-                max_batch_size=8,
-                async_options=AsyncOptions(
-                    max_latency_ms=7.5, max_queue_blocks=64,
-                    backpressure="reject",
-                ),
+            AsyncPredictionService(
+                service=PredictionService(), service_config=ServiceConfig()
             )
-        )
-        assert old_front.options == new_front.options
-        assert old_front.config == new_front.config
-        assert old_front.queue.max_blocks == new_front.queue.max_blocks == 64
-        assert old_front.queue.policy == new_front.queue.policy == "reject"
 
-    def test_old_spelling_batch_size_still_drives_flushes(self, sample_blocks):
-        config = AsyncServiceConfig(
-            max_batch_size=4, max_latency_ms=60_000.0, flush_policy="static"
+    def test_service_batch_size_drives_size_flushes(self, sample_blocks):
+        config = ServiceConfig(
+            max_batch_size=4,
+            async_options=AsyncOptions(
+                max_latency_ms=60_000.0, flush_policy="static"
+            ),
         )
-        with AsyncPredictionService(config) as front_end:
+        with AsyncPredictionService(service_config=config) as front_end:
             future = front_end.submit(PredictionRequest.of(sample_blocks[:4]))
             response = future.result(timeout=120.0)
         assert response.num_blocks == 4
@@ -159,41 +135,16 @@ class TestReasonCodes:
             queue.put(PredictionRequest.of(["mov rcx, 3"]))
 
 
-class TestImportShims:
-    def test_old_import_paths_resolve_to_the_same_objects(self):
-        from repro.serve import batching, queue, service
-        from repro.serve import async_service as async_module
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        import repro.serve as serve
 
-        assert batching.PredictionRequest is PredictionRequest
-        assert batching.PredictionResponse is not None
-        assert queue.QueueFullError is QueueFullError
-        assert queue.RequestExpiredError is RequestExpiredError
-        assert service.ServiceConfig is ServiceConfig
-        assert service.SHARDING_MODES == ("hash", "round_robin")
-        assert async_module.AsyncServiceConfig is AsyncServiceConfig
+        assert len(set(serve.__all__)) == len(serve.__all__)
+        missing = [name for name in serve.__all__ if not hasattr(serve, name)]
+        assert missing == []
 
 
 class TestTypedStats:
-    def test_snapshot_flat_aliases_resolve(self, sample_blocks):
-        with AsyncPredictionService(
-            service_config=ServiceConfig(max_batch_size=8)
-        ) as front_end:
-            front_end.submit(
-                PredictionRequest.of(sample_blocks[:3])
-            ).result(timeout=120.0)
-            snapshot = front_end.snapshot()
-        assert isinstance(snapshot, ServiceSnapshot)
-        # Old flat keys and new attribute paths agree.
-        assert snapshot["requests"] == snapshot.queue.submitted_requests == 1
-        assert snapshot["blocks"] == snapshot.queue.submitted_blocks == 3
-        assert snapshot["flushes"] == snapshot.flush.flushes
-        assert snapshot["flush_wait_p99_ms"] == snapshot.flush.wait_p99_ms
-        assert snapshot["num_workers"] == snapshot.model.num_workers
-        assert snapshot.get("not_a_key") is None
-        assert "flush_policy" in snapshot
-        with pytest.raises(KeyError):
-            snapshot["not_a_key"]
-
     def test_to_dict_is_schema_complete_and_recursive(self, sample_blocks):
         with AsyncPredictionService(
             service_config=ServiceConfig(max_batch_size=8)
@@ -218,8 +169,9 @@ class TestTypedStats:
         assert stats.requests == 1
         assert stats.blocks == 2
         assert stats.cache is not None
-        # Flat access reaches through the nested cache section too.
-        assert stats["prediction_misses"] == stats.cache.prediction_misses
+        # Attribute access only: the stats structs are not mappings.
+        with pytest.raises(TypeError):
+            stats["prediction_misses"]
         service.close()
 
     def test_cache_stats_tolerates_unknown_keys(self):

@@ -6,8 +6,8 @@ import pytest
 
 from repro.serve import (
     AdaptiveFlushController,
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
     PredictionRequest,
     ServiceConfig,
     StaticFlushController,
@@ -103,23 +103,23 @@ class TestFactoryAndConfig:
             create_flush_controller("nagle", MAX_S, MIN_S, BATCH)
 
     def test_async_config_validates_policy(self):
-        assert AsyncServiceConfig(flush_policy="adaptive").flush_policy == "adaptive"
+        assert AsyncOptions(flush_policy="adaptive").flush_policy == "adaptive"
         with pytest.raises(ValueError):
-            AsyncServiceConfig(flush_policy="nagle")
+            AsyncOptions(flush_policy="nagle")
         with pytest.raises(ValueError):
-            AsyncServiceConfig(
+            AsyncOptions(
                 flush_policy="adaptive", min_latency_ms=20.0, max_latency_ms=10.0
             )
         with pytest.raises(ValueError):
-            AsyncServiceConfig(min_latency_ms=-1.0)
+            AsyncOptions(min_latency_ms=-1.0)
         with pytest.raises(ValueError):
-            AsyncServiceConfig(controller_window_ms=0.0)
+            AsyncOptions(controller_window_ms=0.0)
 
     def test_static_policy_allows_sub_floor_deadlines(self):
         """The adaptive floor must not invalidate static configs that were
         legal before it existed (min_latency_ms is ignored by static)."""
-        assert AsyncServiceConfig(max_latency_ms=0.5).max_latency_ms == 0.5
-        assert AsyncServiceConfig(max_latency_ms=0.0).max_latency_ms == 0.0
+        assert AsyncOptions(max_latency_ms=0.5).max_latency_ms == 0.5
+        assert AsyncOptions(max_latency_ms=0.0).max_latency_ms == 0.0
 
     def test_peek_deadline_does_not_clobber_last_decision(self):
         """Observers (snapshot) must not overwrite the dispatcher's last
@@ -138,7 +138,7 @@ class TestFactoryAndConfig:
         assert default_flush_policy() == "static"
         monkeypatch.setenv("REPRO_FLUSH_POLICY", "adaptive")
         assert default_flush_policy() == "adaptive"
-        assert AsyncServiceConfig().flush_policy == "adaptive"
+        assert AsyncOptions().flush_policy == "adaptive"
 
 
 class TestAdaptiveEndToEnd:
@@ -148,14 +148,14 @@ class TestAdaptiveEndToEnd:
         from repro.data.synthetic import BlockGenerator
 
         blocks = BlockGenerator(seed=3).generate_blocks(2)
-        config = AsyncServiceConfig(
-            max_batch_size=64,
+        config = AsyncOptions(
             max_latency_ms=500.0,
             flush_policy="adaptive",
             min_latency_ms=1.0,
         )
         with AsyncPredictionService(
-            config, service_config=ServiceConfig(model_name="granite")
+            config,
+            service_config=ServiceConfig(model_name="granite", max_batch_size=64),
         ) as service:
             service.predict_blocks(blocks)  # warm model + caches
             time.sleep(0.3)  # let the warm-up burst leave the window
@@ -167,26 +167,26 @@ class TestAdaptiveEndToEnd:
         # Static would wait the full 500 ms deadline before flushing; the
         # adaptive controller should flush the idle queue almost at once.
         assert elapsed < 0.25
-        assert snapshot["flush_policy"] == "adaptive"
-        assert snapshot["flush_deadline_p50_ms"] <= 500.0
+        assert snapshot.flush.policy == "adaptive"
+        assert snapshot.flush.deadline_p50_ms <= 500.0
 
     def test_snapshot_exposes_controller_and_queue(self):
         from repro.data.synthetic import BlockGenerator
 
         blocks = BlockGenerator(seed=4).generate_blocks(4)
-        config = AsyncServiceConfig(max_latency_ms=5.0, flush_policy="adaptive")
+        config = AsyncOptions(max_latency_ms=5.0, flush_policy="adaptive")
         with AsyncPredictionService(
             config, service_config=ServiceConfig(model_name="granite")
         ) as service:
             service.predict_blocks(blocks)
             snapshot = service.snapshot()
-        assert snapshot["requests"] == 1
-        assert snapshot["flushes"] >= 1
-        assert snapshot["queue_depth_blocks"] == 0
-        assert snapshot["cancelled_drops"] == 0
-        assert snapshot["expired_drops"] == 0
-        assert 0.0 <= snapshot["current_deadline_ms"] <= 5.0
-        assert snapshot["controller"]["policy"] == "adaptive"
+        assert snapshot.queue.submitted_requests == 1
+        assert snapshot.flush.flushes >= 1
+        assert snapshot.queue.depth_blocks == 0
+        assert snapshot.queue.cancelled_drops == 0
+        assert snapshot.queue.expired_drops == 0
+        assert 0.0 <= snapshot.flush.current_deadline_ms <= 5.0
+        assert snapshot.controller["policy"] == "adaptive"
         assert len(service.stats.flush_deadlines_ms) == len(
             service.stats.queue_depths
         )

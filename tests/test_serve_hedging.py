@@ -14,11 +14,15 @@ import time
 import pytest
 
 from repro.serve import (
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
     HedgeController,
     PredictionRequest,
     PredictionService,
+    ServiceConfig,
+    Trace,
+    TraceReplayer,
+    TraceRequest,
 )
 
 
@@ -75,8 +79,8 @@ class _BlockingOnceService(PredictionService):
 
 
 def _hedging_config(**overrides):
+    """A service config whose async options hedge aggressively."""
     base = dict(
-        max_batch_size=4,
         max_latency_ms=1.0,
         hedge_enabled=True,
         hedge_quantile=0.5,
@@ -87,23 +91,32 @@ def _hedging_config(**overrides):
         max_concurrent_flushes=2,
     )
     base.update(overrides)
-    return AsyncServiceConfig(**base)
+    return ServiceConfig(max_batch_size=4, async_options=AsyncOptions(**base))
+
+
+def _stalling_front_end():
+    """A started hedging front end over a service whose next submit stalls.
+
+    The latency reservoir is warmed past ``hedge_min_samples`` first, so
+    the hedge controller has a deadline (with the stall released, or the
+    first warm-up flush would be the stalled one); then the stall is
+    re-armed.
+    """
+    inner = _BlockingOnceService(_hedging_config())
+    service = AsyncPredictionService(service=inner).start()
+    inner.release.set()
+    for index in range(6):
+        service.predict_blocks([f"ADD RAX, {index}"])
+    inner.release.clear()
+    inner._stalled_once = False
+    inner.stalled.clear()
+    return inner, service
 
 
 class TestHedgingEndToEnd:
     def test_hedge_overtakes_straggler_and_no_double_complete(self):
-        inner = _BlockingOnceService()
-        with AsyncPredictionService(_hedging_config(), service=inner) as service:
-            # Warm the latency reservoir past hedge_min_samples so the
-            # controller has a deadline.  (First flush is the stalled one,
-            # so release it for the warmup.)
-            inner.release.set()
-            for index in range(6):
-                service.predict_blocks([f"ADD RAX, {index}"])
-            inner.release.clear()
-            inner._stalled_once = False
-            inner.stalled.clear()
-
+        inner, service = _stalling_front_end()
+        with service:
             future = service.submit(PredictionRequest.of(["MOV RBX, RCX"]))
             assert inner.stalled.wait(timeout=10.0)
             # The primary attempt is stalled inside the service; the hedge
@@ -112,8 +125,8 @@ class TestHedgingEndToEnd:
             assert response.num_blocks == 1
             snapshot = service.snapshot()
             assert snapshot.hedge.enabled
-            assert snapshot["hedges_issued"] >= 1
-            assert snapshot["hedges_won"] >= 1
+            assert snapshot.hedge.issued >= 1
+            assert snapshot.hedge.won >= 1
             # Release the straggler; its late completion must not blow up
             # (the client future is already resolved — set_result twice
             # would raise InvalidStateError inside the flush thread and
@@ -125,15 +138,8 @@ class TestHedgingEndToEnd:
         assert future.done() and not future.cancelled()
 
     def test_cancelling_the_client_cancels_every_attempt(self):
-        inner = _BlockingOnceService()
-        with AsyncPredictionService(_hedging_config(), service=inner) as service:
-            inner.release.set()
-            for index in range(6):
-                service.predict_blocks([f"ADD RAX, {index}"])
-            inner.release.clear()
-            inner._stalled_once = False
-            inner.stalled.clear()
-
+        inner, service = _stalling_front_end()
+        with service:
             # Fill the (single remaining) flush slot with the stalled
             # request, then cancel a queued one: the queue's eager discard
             # must see the cancellation.
@@ -151,17 +157,17 @@ class TestHedgingEndToEnd:
 
     def test_hedging_disabled_issues_nothing(self):
         config = _hedging_config(hedge_enabled=False)
-        with AsyncPredictionService(config) as service:
+        with AsyncPredictionService(service_config=config) as service:
             for index in range(8):
                 service.predict_blocks([f"ADD RAX, {index}"])
             snapshot = service.snapshot()
         assert not snapshot.hedge.enabled
-        assert snapshot["hedges_issued"] == 0
-        assert snapshot["hedges_won"] == 0
+        assert snapshot.hedge.issued == 0
+        assert snapshot.hedge.won == 0
         assert snapshot.hedge.losers_cancelled == 0
 
     def test_hedged_futures_resolve_exactly_once_under_load(self):
-        with AsyncPredictionService(_hedging_config()) as service:
+        with AsyncPredictionService(service_config=_hedging_config()) as service:
             futures = [
                 service.submit(PredictionRequest.of([f"ADD RCX, {index % 16}"]))
                 for index in range(64)
@@ -175,14 +181,8 @@ class TestHedgingEndToEnd:
         assert all(future.done() for future in futures)
 
     def test_losers_cancelled_counter_moves(self):
-        inner = _BlockingOnceService()
-        with AsyncPredictionService(_hedging_config(), service=inner) as service:
-            inner.release.set()
-            for index in range(6):
-                service.predict_blocks([f"ADD RAX, {index}"])
-            inner.release.clear()
-            inner._stalled_once = False
-            inner.stalled.clear()
+        inner, service = _stalling_front_end()
+        with service:
             future = service.submit(PredictionRequest.of(["MOV RDX, RSI"]))
             assert inner.stalled.wait(timeout=10.0)
             future.result(timeout=10.0)
@@ -196,5 +196,34 @@ class TestHedgingEndToEnd:
             # pending) or completed unobserved — either way the counter
             # must reflect the hedge outcome without errors.
             snapshot = service.snapshot()
-            assert snapshot["hedges_won"] >= 1
+            assert snapshot.hedge.won >= 1
             assert snapshot.flush.request_errors == 0
+
+
+class TestHedgedReplay:
+    def test_replay_reports_the_hedges_the_service_issued(self):
+        """The replayer's hedge counters are the snapshot's delta."""
+        inner, service = _stalling_front_end()
+        try:
+            trace = Trace(
+                requests=tuple(
+                    TraceRequest(offset_s=0.01 * index, block_texts=(text,))
+                    for index, text in enumerate(
+                        ("MOV RBX, RCX", "ADD RDX, 1", "SUB RSI, 2")
+                    )
+                )
+            )
+            before = service.snapshot().hedge
+            # The first request stalls inside the service; only a hedge
+            # through the second flush slot can answer it.
+            report = TraceReplayer(service, result_timeout_s=10.0).run(trace)
+            after = service.snapshot().hedge
+        finally:
+            inner.release.set()
+            service.close()
+        assert inner.stalled.is_set()
+        assert report.completed == 3 and report.errors == 0
+        assert report.hedges_issued == after.issued - before.issued
+        assert report.hedges_won == after.won - before.won
+        assert report.hedges_issued >= 1
+        assert report.hedges_won >= 1

@@ -8,8 +8,8 @@ import pytest
 
 from repro.data.synthetic import BlockGenerator, GeneratorConfig
 from repro.serve import (
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
     PredictionRequest,
     PredictionService,
     Priority,
@@ -157,10 +157,12 @@ class TestRequestQueue:
 
 class TestAsyncPredictionService:
     def test_matches_direct_predictions(self, blocks):
-        config = AsyncServiceConfig(max_batch_size=8, max_latency_ms=5.0)
-        with AsyncPredictionService(
-            config, service_config=ServiceConfig(model_name="granite")
-        ) as service:
+        config = ServiceConfig(
+            model_name="granite",
+            max_batch_size=8,
+            async_options=AsyncOptions(max_latency_ms=5.0),
+        )
+        with AsyncPredictionService(service_config=config) as service:
             direct = service.service.model.predict(blocks)
             futures = [
                 service.submit(
@@ -185,10 +187,12 @@ class TestAsyncPredictionService:
 
     def test_deadline_bounds_straggler_latency(self, blocks):
         """With a huge batch size, a lone request still answers by deadline."""
-        config = AsyncServiceConfig(max_batch_size=4096, max_latency_ms=30.0)
-        with AsyncPredictionService(
-            config, service_config=ServiceConfig(model_name="granite")
-        ) as service:
+        config = ServiceConfig(
+            model_name="granite",
+            max_batch_size=4096,
+            async_options=AsyncOptions(max_latency_ms=30.0),
+        )
+        with AsyncPredictionService(service_config=config) as service:
             service.predict_blocks(blocks[:1])  # warm every cache
             start = time.monotonic()
             service.predict_blocks(blocks[:1])
@@ -199,9 +203,9 @@ class TestAsyncPredictionService:
 
     def test_backpressure_reject_end_to_end(self, blocks):
         """With no dispatcher draining, the bounded queue rejects overflow."""
-        config = AsyncServiceConfig(max_queue_blocks=4, backpressure="reject")
+        options = AsyncOptions(max_queue_blocks=4, backpressure="reject")
         service = AsyncPredictionService(
-            config, service_config=ServiceConfig(model_name="granite")
+            options, service_config=ServiceConfig(model_name="granite")
         )
         accepted = service.submit(PredictionRequest.of(blocks[:4]))
         with pytest.raises(QueueFullError):
@@ -232,10 +236,12 @@ class TestAsyncPredictionService:
 
     def test_cancelled_future_is_skipped_not_fatal(self, blocks):
         """A client cancelling a queued future must not kill the dispatcher."""
-        config = AsyncServiceConfig(max_batch_size=8, max_latency_ms=5.0)
-        service = AsyncPredictionService(
-            config, service_config=ServiceConfig(model_name="granite")
+        config = ServiceConfig(
+            model_name="granite",
+            max_batch_size=8,
+            async_options=AsyncOptions(max_latency_ms=5.0),
         )
+        service = AsyncPredictionService(service_config=config)
         doomed = service.submit(PredictionRequest.of(blocks[:2]))
         kept = service.submit(PredictionRequest.of(blocks[2:4]))
         assert doomed.cancel()  # still queued: cancellable
@@ -265,6 +271,6 @@ class TestAsyncPredictionService:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            AsyncServiceConfig(max_batch_size=0)
+            ServiceConfig(max_batch_size=0)
         with pytest.raises(ValueError):
-            AsyncServiceConfig(max_latency_ms=-1.0)
+            AsyncOptions(max_latency_ms=-1.0)

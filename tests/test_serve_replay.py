@@ -2,6 +2,9 @@
 
 import json
 import math
+import time
+from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
@@ -244,6 +247,82 @@ class TestTraceReplayer:
         assert "latencies_ms" not in wire
         assert wire["slo"]["met"] is True
         assert len(report.to_dict(include_latencies=True)["latencies_ms"]) == 30
+
+    def test_latency_counts_the_wait_behind_a_slow_submit(self):
+        """Latency runs from the due time, not from when submit was reached."""
+
+        class SlowSubmitService:
+            """Spends 50 ms in every submit, then answers at once."""
+
+            def submit(self, request, priority=None, deadline_ms=None):
+                time.sleep(0.05)
+                future = Future()
+                future.set_result(None)
+                return future
+
+        trace = Trace(
+            requests=tuple(
+                TraceRequest(offset_s=0.0, block_texts=(f"ADD RAX, {index}",))
+                for index in range(3)
+            )
+        )
+        report = TraceReplayer(SlowSubmitService()).run(trace)
+        assert report.completed == 3
+        # All three are due at once; the second and third also wait out the
+        # submits ahead of them: ~50 / ~100 / ~150 ms.
+        for rank, latency_ms in enumerate(report.latencies_ms, start=1):
+            assert latency_ms >= 50.0 * rank - 1.0
+        assert report.schedule_lag_p99_ms >= 90.0
+        # A service without snapshot() reports no hedges.
+        assert report.hedges_issued == 0 and report.hedges_won == 0
+
+    def test_hedge_counts_are_the_snapshot_delta(self):
+        class CountingService:
+            """Counts one issued hedge per submit and one won per two."""
+
+            def __init__(self):
+                self.issued, self.won = 5, 2
+
+            def submit(self, request, priority=None, deadline_ms=None):
+                self.issued += 1
+                self.won += self.issued % 2
+                future = Future()
+                future.set_result(None)
+                return future
+
+            def snapshot(self):
+                return SimpleNamespace(
+                    hedge=SimpleNamespace(issued=self.issued, won=self.won)
+                )
+
+        trace = Trace(
+            requests=tuple(
+                TraceRequest(offset_s=0.0, block_texts=(f"ADD RAX, {index}",))
+                for index in range(4)
+            )
+        )
+        service = CountingService()
+        report = TraceReplayer(service).run(trace)
+        assert report.hedges_issued == service.issued - 5 == 4
+        assert report.hedges_won == service.won - 2 == 2
+
+    def test_malformed_snapshot_is_not_read_as_zero_hedges(self):
+        class FlatSnapshotService:
+            """Returns a flat mapping, which has no ``hedge`` attribute."""
+
+            def submit(self, request, priority=None, deadline_ms=None):
+                future = Future()
+                future.set_result(None)
+                return future
+
+            def snapshot(self):
+                return {"hedges_issued": 3, "hedges_won": 1}
+
+        trace = Trace(
+            requests=(TraceRequest(offset_s=0.0, block_texts=("ADD RAX, 1",)),)
+        )
+        with pytest.raises(AttributeError):
+            TraceReplayer(FlatSnapshotService()).run(trace)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,13 +6,14 @@ import pytest
 
 from repro.data.synthetic import BlockGenerator, GeneratorConfig
 from repro.serve import (
+    AsyncOptions,
     AsyncPredictionService,
-    AsyncServiceConfig,
+    HashRing,
     PoolAutoscaler,
     PredictionRequest,
     PredictionService,
     ServiceConfig,
-    coalesce_requests_by_shard,
+    coalesce_requests_by_ring,
     shard_key,
 )
 from repro.testing.equivalence import assert_allclose_for_dtype
@@ -39,8 +40,8 @@ class TestShardPartitioning:
             PredictionRequest.of(blocks[:20]),
             PredictionRequest.of(blocks[20:]),
         ]
-        assignments = coalesce_requests_by_shard(
-            requests, max_batch_size=8, num_shards=3
+        assignments = coalesce_requests_by_ring(
+            requests, max_batch_size=8, ring=HashRing(nodes=range(3))
         )
         origins = [
             origin for _, batch in assignments for origin in batch.origins
@@ -53,22 +54,24 @@ class TestShardPartitioning:
         assert all(batch.num_blocks <= 8 for _, batch in assignments)
 
     def test_blocks_routed_by_their_hash(self, blocks):
-        assignments = coalesce_requests_by_shard(
-            [PredictionRequest.of(blocks)], max_batch_size=8, num_shards=4
+        ring = HashRing(nodes=range(4))
+        assignments = coalesce_requests_by_ring(
+            [PredictionRequest.of(blocks)], max_batch_size=8, ring=ring
         )
         for shard, batch in assignments:
             for text in batch.block_texts:
-                assert shard_key(text) % 4 == shard
+                assert ring.owner(shard_key(text)) == shard
 
     def test_same_block_always_same_shard(self, blocks):
         """Routing only depends on the text, not on request composition."""
-        solo = coalesce_requests_by_shard(
-            [PredictionRequest.of(blocks[:1])], max_batch_size=8, num_shards=4
+        ring = HashRing(nodes=range(4))
+        solo = coalesce_requests_by_ring(
+            [PredictionRequest.of(blocks[:1])], max_batch_size=8, ring=ring
         )
-        mixed = coalesce_requests_by_shard(
+        mixed = coalesce_requests_by_ring(
             [PredictionRequest.of(list(reversed(blocks)))],
             max_batch_size=8,
-            num_shards=4,
+            ring=ring,
         )
         target_text = blocks[0].canonical_text()
         solo_shard = solo[0][0]
@@ -82,9 +85,11 @@ class TestShardPartitioning:
     def test_invalid_arguments(self, blocks):
         request = PredictionRequest.of(blocks[:2])
         with pytest.raises(ValueError):
-            coalesce_requests_by_shard([request], max_batch_size=0, num_shards=2)
+            coalesce_requests_by_ring(
+                [request], max_batch_size=0, ring=HashRing(nodes=range(2))
+            )
         with pytest.raises(ValueError):
-            coalesce_requests_by_shard([request], max_batch_size=4, num_shards=0)
+            coalesce_requests_by_ring([request], max_batch_size=4, ring=HashRing())
 
     def test_unknown_sharding_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -160,8 +165,8 @@ class TestShardedWorkerPool:
         for worker_stats in stats:
             # Every worker saw each of its shard's blocks three times: one
             # miss, then hits — so its prediction hit rate lands at ~2/3.
-            assert worker_stats["prediction_hit_rate"] >= 0.5
-            assert worker_stats["parse_hits"] >= worker_stats["parse_misses"]
+            assert worker_stats.cache.prediction_hit_rate >= 0.5
+            assert worker_stats.cache.parse_hits >= worker_stats.cache.parse_misses
 
     def test_in_process_check_health_is_noop(self):
         service = PredictionService(ServiceConfig(model_name="granite"))
@@ -172,9 +177,9 @@ class TestShardedWorkerPool:
         with PredictionService(config) as service:
             service.predict_blocks(blocks[:8])
             stats = service.worker_stats()
-        assert [entry["worker_id"] for entry in stats] == [0, 1]
-        assert sum(entry["ring_share"] for entry in stats) == pytest.approx(1.0)
-        assert all(entry["spawn_count"] >= 1 for entry in stats)
+        assert [entry.worker_id for entry in stats] == [0, 1]
+        assert sum(entry.ring_share for entry in stats) == pytest.approx(1.0)
+        assert all(entry.spawn_count >= 1 for entry in stats)
 
     def test_closed_service_does_not_respawn_pool(self, blocks):
         """Use after close must raise, not silently leak a fresh pool."""
@@ -282,7 +287,7 @@ class TestElasticScaling:
         assert service.stats.resizes == 2
         assert [event["action"] for event in events] == ["add", "remove"]
         assert [event["worker_id"] for event in events] == [2, 2]
-        assert [entry["worker_id"] for entry in stats] == [0, 1]
+        assert [entry.worker_id for entry in stats] == [0, 1]
 
     def test_scale_to_same_size_is_a_noop(self, blocks):
         config = ServiceConfig(model_name="granite", num_workers=2)
@@ -309,16 +314,14 @@ class TestElasticScaling:
             max_workers=2,
             scale_cooldown_s=0.1,
         )
-        async_config = AsyncServiceConfig(
-            max_batch_size=8, max_latency_ms=5.0, autoscale_poll_ms=20.0
-        )
+        async_options = AsyncOptions(max_latency_ms=5.0, autoscale_poll_ms=20.0)
         # Novel blocks so every flush pays real model compute: the backlog
         # must outlive several autoscaler polls, not vanish into cache hits.
         texts = [
             block.canonical_text()
             for block in BlockGenerator(GeneratorConfig(seed=61)).generate_blocks(800)
         ]
-        with AsyncPredictionService(async_config, service_config=config) as front:
+        with AsyncPredictionService(async_options, service_config=config) as front:
             futures = [
                 front.submit(PredictionRequest.of(texts[2 * index : 2 * index + 2]))
                 for index in range(400)
